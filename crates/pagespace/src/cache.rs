@@ -6,13 +6,23 @@
 //! eliminated"), and plans the I/O for a set of requested pages as merged
 //! contiguous runs.
 //!
+//! Eviction costs O(log n) per page miss, amortized, and picks exactly the
+//! victims of a full scan for the oldest `last_access` stamp. Every stamp
+//! comes from a fresh clock tick, so no two resident pages share one, and
+//! an ordered index holds one entry per resident page, keyed by a stamp
+//! no newer than the page's own. A hit only refreshes the stamp; eviction
+//! pops the oldest entry and, if the page was touched since, requeues it
+//! at its current stamp and pops again. The first entry whose stamp is
+//! current is the least recently used page: every other page's stamp is
+//! at least its entry's key, which is at least the popped one.
+//!
 //! The threaded server wraps this core with a mutex + condition variable
 //! and real reads; the discrete-event simulator drives it directly and
 //! turns the returned runs into disk events. Both therefore share the exact
 //! caching and merging behaviour.
 
 use crate::key::{merge_into_runs, PageKey, Run};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Resident page contents; the simulator stores no bytes.
@@ -107,6 +117,9 @@ pub struct PageCacheCore {
     page_size: u64,
     capacity_pages: usize,
     resident: HashMap<PageKey, Resident>,
+    /// LRU index: one entry per resident page, keyed by a stamp no newer
+    /// than its `last_access` (see the module docs).
+    lru: BTreeMap<u64, PageKey>,
     in_flight: HashMap<PageKey, u32>,
     clock: u64,
     merging_enabled: bool,
@@ -122,6 +135,7 @@ impl PageCacheCore {
             page_size,
             capacity_pages: ((budget_bytes / page_size) as usize).max(1),
             resident: HashMap::new(),
+            lru: BTreeMap::new(),
             in_flight: HashMap::new(),
             clock: 0,
             merging_enabled: true,
@@ -236,21 +250,25 @@ impl PageCacheCore {
         let mut evicted = Vec::new();
         while self.resident.len() >= self.capacity_pages {
             // Evict the least recently used resident page.
-            let victim = self
+            let Some((stamp, candidate)) = self.lru.pop_first() else {
+                break;
+            };
+            let last_access = self
                 .resident
-                .iter()
-                .min_by_key(|(_, r)| r.last_access)
-                .map(|(&k, _)| k);
-            match victim {
-                Some(v) => {
-                    self.resident.remove(&v);
-                    self.stats.evictions += 1;
-                    evicted.push(v);
-                }
-                None => break,
+                .get(&candidate)
+                .expect("every indexed page is resident")
+                .last_access;
+            if last_access != stamp {
+                // Touched since it was indexed: requeue at its current stamp.
+                self.lru.insert(last_access, candidate);
+                continue;
             }
+            self.resident.remove(&candidate);
+            self.stats.evictions += 1;
+            evicted.push(candidate);
         }
         self.clock += 1;
+        self.lru.insert(self.clock, page);
         self.resident.insert(
             page,
             Resident {
@@ -258,6 +276,7 @@ impl PageCacheCore {
                 last_access: self.clock,
             },
         );
+        debug_assert_eq!(self.lru.len(), self.resident.len());
         evicted
     }
 
@@ -281,6 +300,7 @@ impl PageCacheCore {
     /// Drops all residency and in-flight state (counters are kept).
     pub fn clear(&mut self) {
         self.resident.clear();
+        self.lru.clear();
         self.in_flight.clear();
     }
 }

@@ -267,28 +267,32 @@ impl SharedPageSpace {
         }
 
         // Every MustFetch page is now claimed (in-flight) by this caller;
-        // on any failure all still-unfetched claims must be released.
-        let mut outstanding: Vec<PageKey> = plan
+        // on any failure all still-unfetched claims must be released. The
+        // runs cover exactly these pages in the same ascending order, so
+        // the pages fetched so far are the prefix `claimed[..fetched]`.
+        let claimed: Vec<PageKey> = plan
             .pages
             .iter()
             .filter(|(_, d)| *d == PageDisposition::MustFetch)
             .map(|(k, _)| *k)
             .collect();
+        let mut fetched = 0;
 
         // Read this caller's merged runs outside the lock.
         for run in &plan.fetch_runs {
             for page in run.pages() {
+                debug_assert_eq!(claimed[fetched], page);
                 match self.read_with_retry(page, deadline) {
                     Ok((bytes, attempts)) => {
                         self.note_page_read(query, false, attempts > 0);
-                        outstanding.retain(|&p| p != page);
+                        fetched += 1;
                         let mut core = self.core.lock();
                         core.complete_fetch(page, PageData::Bytes(Arc::new(bytes)));
                         drop(core);
                         self.resident_cv.notify_all();
                     }
                     Err(e) => {
-                        self.release_claims(&outstanding);
+                        self.release_claims(&claimed[fetched..]);
                         return Err(e);
                     }
                 }
